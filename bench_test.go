@@ -78,3 +78,12 @@ func BenchmarkMultiqueueExtension(b *testing.B) { benchExperiment(b, "multiqueue
 
 // BenchmarkJumboExtension regenerates the Section IV-A MTU-9000 check.
 func BenchmarkJumboExtension(b *testing.B) { benchExperiment(b, "jumbo") }
+
+// BenchmarkIncastExtension regenerates the N-to-1 incast extension. The
+// receiver pre-posts 64 wildcard receives per sender, so this runs the
+// deep-posted-queue path of the shared-fabric model.
+func BenchmarkIncastExtension(b *testing.B) { benchExperiment(b, "incast") }
+
+// BenchmarkResilienceIncast regenerates incast under bursty loss on a
+// sharded cluster (protocol recovery under congestion).
+func BenchmarkResilienceIncast(b *testing.B) { benchExperiment(b, "resilience-incast") }

@@ -4,10 +4,10 @@ package main
 // one full regeneration, the moral equivalent of `go test -bench -benchtime
 // 1x`) and write one machine-readable BENCH_<id>.json per experiment, so
 // every PR can record the simulator's performance trajectory. An optional
-// baseline file turns the run into a regression gate: allocation counts are
-// deterministic and therefore gate hard (exit non-zero), while wall time
-// varies with the machine and only warns. The comparison can also be
-// emitted as a Markdown table for CI job summaries.
+// baseline file turns the run into a regression gate: allocation counts and
+// allocated bytes are deterministic and therefore gate hard (exit
+// non-zero), while wall time varies with the machine and only warns. The
+// comparison can also be emitted as a Markdown table for CI job summaries.
 
 import (
 	"encoding/json"
@@ -64,8 +64,9 @@ func measure(id string, runner exp.Runner, opts exp.Options, reps int) benchReco
 }
 
 // runBenchMode measures the given experiments, writes BENCH_<id>.json files
-// into outDir, and (with a baseline) enforces the allocs/op gate, warns on
-// ns/op regressions, and optionally writes a Markdown comparison table.
+// into outDir, and (with a baseline) enforces the allocs/op and B/op gates,
+// warns on ns/op regressions, and optionally writes a Markdown comparison
+// table.
 func runBenchMode(ids []string, opts exp.Options, reps int, outDir, baselinePath string, maxRegress, maxTimeRegress float64, summaryPath string) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
@@ -172,8 +173,8 @@ func parAB(seed uint64) string {
 	return md.String()
 }
 
-// checkBaseline fails when any experiment's allocs/op exceeds the baseline
-// by more than maxRegress (fractional). Wall time regressions beyond
+// checkBaseline fails when any experiment's allocs/op or B/op exceeds the
+// baseline by more than maxRegress (fractional). Wall time regressions beyond
 // maxTimeRegress only warn: runners vary, while allocation counts of a
 // deterministic simulation do not. When summaryPath is non-empty the full
 // comparison is also written there as a Markdown table (CI appends it to
@@ -192,19 +193,28 @@ func checkBaseline(records []benchRecord, path string, maxRegress, maxTimeRegres
 		byID[b.ID] = b
 	}
 	var failures, warnings []string
-	var timeRatios, allocRatios []float64
+	var timeRatios, allocRatios, byteRatios []float64
 	var md strings.Builder
 	fmt.Fprintf(&md, "### Benchmark comparison vs `%s`\n\n", path)
-	md.WriteString("| experiment | ns/op | vs base | allocs/op | vs base | status |\n")
-	md.WriteString("|---|---:|---:|---:|---:|---|\n")
+	md.WriteString("| experiment | ns/op | vs base | B/op | vs base | allocs/op | vs base | status |\n")
+	md.WriteString("|---|---:|---:|---:|---:|---:|---:|---|\n")
 	for _, rec := range records {
 		b, ok := byID[rec.ID]
 		if !ok || b.AllocsPerOp == 0 {
-			fmt.Fprintf(&md, "| %s | %d | — | %d | — | new |\n", rec.ID, rec.NsPerOp, rec.AllocsPerOp)
+			fmt.Fprintf(&md, "| %s | %d | — | %d | — | %d | — | new |\n",
+				rec.ID, rec.NsPerOp, rec.BytesPerOp, rec.AllocsPerOp)
 			continue // new experiment or unusable baseline entry
 		}
 		allocRatio := float64(rec.AllocsPerOp) / float64(b.AllocsPerOp)
 		allocRatios = append(allocRatios, allocRatio)
+		// A zero baseline bytes_per_op (older snapshot) disables only the
+		// bytes comparison.
+		byteCell := "—"
+		if b.BytesPerOp > 0 {
+			byteRatio := float64(rec.BytesPerOp) / float64(b.BytesPerOp)
+			byteCell = fmt.Sprintf("%+.1f%%", (byteRatio-1)*100)
+			byteRatios = append(byteRatios, byteRatio)
+		}
 		// A zero baseline ns_per_op (older or hand-edited snapshot) only
 		// disables the time comparison — the allocs gate still applies.
 		timeCell := "—"
@@ -214,14 +224,20 @@ func checkBaseline(records []benchRecord, path string, maxRegress, maxTimeRegres
 			timeCell = fmt.Sprintf("%+.1f%%", (timeRatio-1)*100)
 			timeRatios = append(timeRatios, timeRatio)
 		}
-		// The two gates are independent: an experiment can regress both, and
-		// the report must say so for both.
+		// The gates are independent: an experiment can regress several, and
+		// the report must say so for each.
 		var statuses []string
 		if rec.AllocsPerOp > uint64(float64(b.AllocsPerOp)*(1+maxRegress)) {
 			statuses = append(statuses, "ALLOC REGRESSION")
 			failures = append(failures, fmt.Sprintf(
 				"%s: %d allocs/op vs baseline %d (limit %.0f%%)",
 				rec.ID, rec.AllocsPerOp, b.AllocsPerOp, maxRegress*100))
+		}
+		if b.BytesPerOp > 0 && rec.BytesPerOp > uint64(float64(b.BytesPerOp)*(1+maxRegress)) {
+			statuses = append(statuses, "BYTES REGRESSION")
+			failures = append(failures, fmt.Sprintf(
+				"%s: %d B/op vs baseline %d (limit %.0f%%)",
+				rec.ID, rec.BytesPerOp, b.BytesPerOp, maxRegress*100))
 		}
 		if timeRatio > 1+maxTimeRegress {
 			statuses = append(statuses, "time regression (warning)")
@@ -233,21 +249,20 @@ func checkBaseline(records []benchRecord, path string, maxRegress, maxTimeRegres
 		if len(statuses) > 0 {
 			status = strings.Join(statuses, ", ")
 		}
-		fmt.Fprintf(&md, "| %s | %d | %s | %d | %+.1f%% | %s |\n",
-			rec.ID, rec.NsPerOp, timeCell, rec.AllocsPerOp, (allocRatio-1)*100, status)
+		fmt.Fprintf(&md, "| %s | %d | %s | %d | %s | %d | %+.1f%% | %s |\n",
+			rec.ID, rec.NsPerOp, timeCell, rec.BytesPerOp, byteCell, rec.AllocsPerOp, (allocRatio-1)*100, status)
 	}
 	// The geomean row is the run's one headline number: the average
 	// multiplicative drift vs the baseline across all comparable
 	// experiments (geometric, so a 2x regression and a 2x win cancel).
-	timeGeo, allocGeo := "—", "—"
-	if len(timeRatios) > 0 {
-		timeGeo = fmt.Sprintf("%+.1f%%", (geomean(timeRatios)-1)*100)
+	geoCell := func(ratios []float64) string {
+		if len(ratios) == 0 {
+			return "—"
+		}
+		return fmt.Sprintf("%+.1f%%", (geomean(ratios)-1)*100)
 	}
-	if len(allocRatios) > 0 {
-		allocGeo = fmt.Sprintf("%+.1f%%", (geomean(allocRatios)-1)*100)
-	}
-	fmt.Fprintf(&md, "| **geomean** | — | %s | — | %s | %d of %d compared |\n",
-		timeGeo, allocGeo, len(allocRatios), len(records))
+	fmt.Fprintf(&md, "| **geomean** | — | %s | — | %s | — | %s | %d of %d compared |\n",
+		geoCell(timeRatios), geoCell(byteRatios), geoCell(allocRatios), len(allocRatios), len(records))
 	if summaryPath != "" {
 		if err := writeSummary(summaryPath, md.String()); err != nil {
 			return err
@@ -260,9 +275,9 @@ func checkBaseline(records []benchRecord, path string, maxRegress, maxTimeRegres
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "ALLOC REGRESSION:", f)
 		}
-		return fmt.Errorf("bench: %d experiment(s) regressed allocs/op beyond %.0f%%", len(failures), maxRegress*100)
+		return fmt.Errorf("bench: %d allocs/op or B/op regression(s) beyond %.0f%%", len(failures), maxRegress*100)
 	}
-	fmt.Fprintf(os.Stderr, "[bench baseline ok: %d experiments, %d time warnings, allocs within %.0f%% of %s]\n",
+	fmt.Fprintf(os.Stderr, "[bench baseline ok: %d experiments, %d time warnings, allocs and bytes within %.0f%% of %s]\n",
 		len(records), len(warnings), maxRegress*100, path)
 	return nil
 }

@@ -13,11 +13,11 @@
 // Benchmark mode measures each experiment instead of printing its report,
 // writing machine-readable BENCH_<id>.json files (ns/op, B/op, allocs/op)
 // plus a combined BENCH_all.json, and optionally gates on a baseline —
-// hard on allocs/op (deterministic), warn-only on ns/op (machine-bound):
+// hard on allocs/op and B/op (deterministic), warn-only on ns/op (machine-bound):
 //
 //	omxbench -bench -quick                                  # measure all, write bench-out/
 //	omxbench -bench -quick -benchout dir -benchreps 3       # best of 3
-//	omxbench -bench -quick -baseline bench/BENCH_baseline.json  # fail >20% allocs/op, warn >10% ns/op
+//	omxbench -bench -quick -baseline bench/BENCH_baseline.json  # fail >20% allocs/op or B/op, warn >10% ns/op
 //	omxbench -bench -quick -baseline ... -benchsummary "$GITHUB_STEP_SUMMARY"  # Markdown table for CI
 //
 // Every command accepts -sched wheel|heap to select the event scheduler
@@ -50,8 +50,8 @@ func main() {
 	bench := flag.Bool("bench", false, "benchmark mode: measure experiments and write BENCH_<id>.json")
 	benchOut := flag.String("benchout", "bench-out", "output directory for BENCH_*.json (bench mode)")
 	benchReps := flag.Int("benchreps", 1, "runs per experiment in bench mode (fastest is reported)")
-	baseline := flag.String("baseline", "", "baseline BENCH_all.json to gate allocs/op against (bench mode)")
-	maxRegress := flag.Float64("maxregress", 0.20, "allowed fractional allocs/op regression vs baseline")
+	baseline := flag.String("baseline", "", "baseline BENCH_all.json to gate allocs/op and B/op against (bench mode)")
+	maxRegress := flag.Float64("maxregress", 0.20, "allowed fractional allocs/op and B/op regression vs baseline")
 	maxTimeRegress := flag.Float64("maxtimeregress", 0.10, "ns/op regression vs baseline that triggers a warning")
 	sched := cliflag.Sched()
 	par := cliflag.Par()

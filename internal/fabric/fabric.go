@@ -279,16 +279,18 @@ type PortStats struct {
 }
 
 // Switch is the central store-and-forward element. Ports are registered by
-// MAC; each port has an independent ingress (host->switch) and egress
-// (switch->host) serialization resource, which is how both directions of a
-// full-duplex link and cross-traffic contention are modelled.
+// MAC and kept in a table indexed by the MAC's node index
+// (wire.MAC.NodeIndex), so forwarding a frame costs two slice loads. Each
+// port has an independent ingress (host->switch) and egress (switch->host)
+// serialization resource, which is how both directions of a full-duplex
+// link and cross-traffic contention are modelled.
 type Switch struct {
 	eng   *sim.Engine
 	link  params.Link
 	rng   *sim.RNG
 	topo  Topology
 	qcap  int
-	ports map[wire.MAC]*port
+	ports []*port // by wire.MAC.NodeIndex; nil where nothing is attached
 	fault *Fault
 
 	// In-flight deliveries (and, in the output-queued model, pending
@@ -322,8 +324,8 @@ type delivery struct {
 
 // qent is one frame waiting in an egress queue, stamped with its enqueue
 // time for the queueing-latency statistics. Entries are plain values inside
-// the port's queue slice, so the queue itself never allocates per frame
-// once its backing array has grown.
+// the port's queue buffer, so the queue itself never allocates per frame
+// once its buffer has grown.
 type qent struct {
 	f  *wire.Frame
 	at sim.Time
@@ -353,12 +355,9 @@ type port struct {
 	ingressBusy sim.Time // sender-side wire occupancy
 	egressBusy  sim.Time // receiver-side wire occupancy (direct model)
 
-	// Output-queued model state: the bounded FIFO (a head-indexed slice
-	// ring: qhead..len(q) are live, dequeue is O(1), compaction is
-	// amortized over a full buffer's worth of frames) and whether the port
-	// is currently clocking a frame out.
-	q      []qent
-	qhead  int
+	// Output-queued model state: the bounded FIFO and whether the port is
+	// currently clocking a frame out.
+	q      sim.FIFO[qent]
 	txBusy bool
 
 	// tr is the node's telemetry handle for egress-queue events (nil =
@@ -371,7 +370,7 @@ type port struct {
 // NewSwitch creates a switch with the given link characteristics and the
 // default direct topology.
 func NewSwitch(eng *sim.Engine, link params.Link, rng *sim.RNG) *Switch {
-	s := &Switch{eng: eng, link: link, rng: rng, ports: make(map[wire.MAC]*port), qcap: Topology{}.queueCap()}
+	s := &Switch{eng: eng, link: link, rng: rng, qcap: Topology{}.queueCap()}
 	s.deliverFn = func(x any) { s.deliverNow(x.(*delivery)) }
 	s.enqueueFn = func(x any) { s.enqueueNow(x.(*delivery)) }
 	s.txDoneFn = func(x any) { s.txDone(x.(*port)) }
@@ -401,19 +400,37 @@ func (s *Switch) SetFault(f *Fault) { s.fault = f }
 // the parent stream — so attaching ports perturbs neither the frozen
 // direct-path draw order nor any sibling port's stream.
 func (s *Switch) Attach(mac wire.MAC, rx Receiver) {
-	if _, dup := s.ports[mac]; dup {
-		panic(fmt.Sprintf("fabric: duplicate port %s", mac))
+	node := mac.NodeIndex()
+	if node >= len(s.ports) {
+		s.ports = append(s.ports, make([]*port, node+1-len(s.ports))...)
 	}
-	idx := uint64(mac[3])<<16 | uint64(mac[4])<<8 | uint64(mac[5])
-	s.ports[mac] = &port{
+	if old := s.ports[node]; old != nil {
+		if old.mac == mac {
+			panic(fmt.Sprintf("fabric: duplicate port %s", mac))
+		}
+		panic(fmt.Sprintf("fabric: port %s has the node index of port %s", mac, old.mac))
+	}
+	idx := uint64(node)
+	s.ports[node] = &port{
 		mac:     mac,
 		rx:      rx,
 		link:    s.link,
-		node:    int(idx),
+		node:    node,
 		eng:     s.eng,
 		rng:     s.rng.Derive(0xF0<<56 | idx),
 		priBase: (idx + 1) << 40,
 	}
+}
+
+// lookup returns the port attached under mac, or nil. The full MAC must
+// match, not just its node index.
+func (s *Switch) lookup(mac wire.MAC) *port {
+	if i := mac.NodeIndex(); i < len(s.ports) {
+		if p := s.ports[i]; p != nil && p.mac == mac {
+			return p
+		}
+	}
+	return nil
 }
 
 // SetShardCount prepares the switch for sharded execution across n engines:
@@ -430,8 +447,8 @@ func (s *Switch) SetShardCount(n int) {
 // the port's state will be scheduled on eng; sends from a port on one shard
 // to a port on another go through the outbox/FlushShards path.
 func (s *Switch) BindPort(mac wire.MAC, shard int, eng *sim.Engine) {
-	p, ok := s.ports[mac]
-	if !ok {
+	p := s.lookup(mac)
+	if p == nil {
 		panic(fmt.Sprintf("fabric: unknown port %s", mac))
 	}
 	if s.outbox == nil || shard < 0 || shard >= len(s.outbox) {
@@ -481,8 +498,8 @@ func (s *Switch) Lookahead() sim.Time {
 
 // SetPortBandwidth overrides the egress line rate of an attached port.
 func (s *Switch) SetPortBandwidth(mac wire.MAC, bps int64) {
-	p, ok := s.ports[mac]
-	if !ok {
+	p := s.lookup(mac)
+	if p == nil {
 		panic(fmt.Sprintf("fabric: unknown port %s", mac))
 	}
 	if bps <= 0 {
@@ -493,8 +510,8 @@ func (s *Switch) SetPortBandwidth(mac wire.MAC, bps int64) {
 
 // PortStats returns a snapshot of the per-port counters for mac.
 func (s *Switch) PortStats(mac wire.MAC) PortStats {
-	p, ok := s.ports[mac]
-	if !ok {
+	p := s.lookup(mac)
+	if p == nil {
 		panic(fmt.Sprintf("fabric: unknown port %s", mac))
 	}
 	return p.stats
@@ -504,8 +521,8 @@ func (s *Switch) PortStats(mac wire.MAC) PortStats {
 // on that port are then emitted to the handle's timeline. The handle must
 // belong to the same node (shard) as the port.
 func (s *Switch) BindTrace(mac wire.MAC, h *trace.Node) {
-	p, ok := s.ports[mac]
-	if !ok {
+	p := s.lookup(mac)
+	if p == nil {
 		panic(fmt.Sprintf("fabric: unknown port %s", mac))
 	}
 	p.tr = h
@@ -514,15 +531,12 @@ func (s *Switch) BindTrace(mac wire.MAC, h *trace.Node) {
 // QueueLen returns the current egress-queue depth of mac's port (always 0
 // in the direct model).
 func (s *Switch) QueueLen(mac wire.MAC) int {
-	p, ok := s.ports[mac]
-	if !ok {
+	p := s.lookup(mac)
+	if p == nil {
 		panic(fmt.Sprintf("fabric: unknown port %s", mac))
 	}
-	return p.qlen()
+	return p.q.Len()
 }
-
-// qlen is the live egress-queue depth.
-func (p *port) qlen() int { return len(p.q) - p.qhead }
 
 // Send injects a frame at the source port at the current virtual time. The
 // frame serializes onto the source link, crosses the switch, and reaches
@@ -530,12 +544,12 @@ func (p *port) qlen() int { return len(p.q) - p.qhead }
 // model, a bounded drop-tail queue in the output-queued model. Send takes
 // over the caller's frame reference (see the package comment).
 func (s *Switch) Send(f *wire.Frame) {
-	src, ok := s.ports[f.Src]
-	if !ok {
+	src := s.lookup(f.Src)
+	if src == nil {
 		panic(fmt.Sprintf("fabric: unknown source %s", f.Src))
 	}
-	dst, ok := s.ports[f.Dst]
-	if !ok {
+	dst := s.lookup(f.Dst)
+	if dst == nil {
 		panic(fmt.Sprintf("fabric: unknown destination %s", f.Dst))
 	}
 	if s.topo.Kind == TopologyOutputQueued {
@@ -687,15 +701,15 @@ func (s *Switch) scheduleEgress(src, dst *port, f *wire.Frame, at sim.Time) {
 func (s *Switch) enqueueNow(d *delivery) {
 	p, f := d.p, d.f
 	p.putDelivery(d)
-	if p.qlen() >= s.qcap {
+	if p.q.Len() >= s.qcap {
 		p.stats.Drops++
 		p.tr.Event(p.eng.Now(), trace.EvPortDrop, int64(p.stats.Drops))
 		f.Release()
 		return
 	}
-	p.q = append(p.q, qent{f: f, at: p.eng.Now()})
+	p.q.PushBack(qent{f: f, at: p.eng.Now()})
 	p.stats.Enqueued++
-	if n := p.qlen(); n > p.stats.MaxQueueFrames {
+	if n := p.q.Len(); n > p.stats.MaxQueueFrames {
 		p.stats.MaxQueueFrames = n
 	}
 	if !p.txBusy {
@@ -707,26 +721,7 @@ func (s *Switch) enqueueNow(d *delivery) {
 // the frame arrives after serialization + propagation (+ jitter), and the
 // port frees up for the next queued frame after serialization alone.
 func (s *Switch) txStart(p *port) {
-	e := p.q[p.qhead]
-	p.q[p.qhead] = qent{} // don't pin the frame from the dead prefix
-	p.qhead++
-	switch {
-	case p.qhead == len(p.q):
-		// Drained: reuse the backing array from the start.
-		p.q = p.q[:0]
-		p.qhead = 0
-	case p.qhead >= s.qcap:
-		// A full buffer's worth of dead prefix: compact once, keeping
-		// dequeue amortized O(1) and the slice bounded by 2*qcap.
-		n := copy(p.q, p.q[p.qhead:])
-		clearTail := p.q[n:]
-		for i := range clearTail {
-			clearTail[i] = qent{}
-		}
-		p.q = p.q[:n]
-		p.qhead = 0
-	}
-
+	e := p.q.PopFront()
 	now := p.eng.Now()
 	p.stats.QueueWait += now - e.at
 	p.txBusy = true
@@ -739,7 +734,7 @@ func (s *Switch) txStart(p *port) {
 // txDone frees the egress link and starts the next queued frame, if any.
 func (s *Switch) txDone(p *port) {
 	p.txBusy = false
-	if len(p.q) > 0 {
+	if p.q.Len() > 0 {
 		s.txStart(p)
 	}
 }
@@ -789,8 +784,10 @@ func (s *Switch) deliverNow(d *delivery) {
 // only while no engine is running.
 func (s *Switch) FramesDelivered() uint64 {
 	var n uint64
-	//omxlint:allow maprange: integer sums are order-independent
 	for _, p := range s.ports {
+		if p == nil {
+			continue
+		}
 		n += p.stats.FramesDelivered
 	}
 	return n
@@ -800,8 +797,10 @@ func (s *Switch) FramesDelivered() uint64 {
 // drop-tail rejections, summed over ports.
 func (s *Switch) FramesDropped() uint64 {
 	var n uint64
-	//omxlint:allow maprange: integer sums are order-independent
 	for _, p := range s.ports {
+		if p == nil {
+			continue
+		}
 		n += p.faultDrops + p.stats.Drops
 	}
 	return n
@@ -810,8 +809,10 @@ func (s *Switch) FramesDropped() uint64 {
 // BytesDelivered is the total wire-byte count handed to receivers.
 func (s *Switch) BytesDelivered() uint64 {
 	var n uint64
-	//omxlint:allow maprange: integer sums are order-independent
 	for _, p := range s.ports {
+		if p == nil {
+			continue
+		}
 		n += p.stats.BytesDelivered
 	}
 	return n

@@ -197,6 +197,37 @@ func TestUnknownPortPanics(t *testing.T) {
 	sw.Send(smallFrame(0, 9, 0))
 }
 
+// TestPortLookupChecksFullMAC pins the dense port table's guard: a MAC that
+// shares an attached port's node index but differs in its other bytes is
+// an unknown port, as a source, as a destination and on Attach.
+func TestPortLookupChecksFullMAC(t *testing.T) {
+	alias := wire.NodeMAC(1)
+	alias[0] = 0x06
+	if alias.NodeIndex() != 1 {
+		t.Fatalf("alias node index %d, want 1", alias.NodeIndex())
+	}
+	for name, f := range map[string]func(sw *Switch, eng *sim.Engine){
+		"source": func(sw *Switch, _ *sim.Engine) {
+			sw.Send(wire.NewFrame(alias, wire.NodeMAC(0), wire.Header{}, nil, 64))
+		},
+		"destination": func(sw *Switch, _ *sim.Engine) {
+			sw.Send(wire.NewFrame(wire.NodeMAC(0), alias, wire.Header{}, nil, 64))
+		},
+		"attach": func(sw *Switch, eng *sim.Engine) { sw.Attach(alias, &sink{eng: eng}) },
+		"stats":  func(sw *Switch, _ *sim.Engine) { sw.PortStats(alias) },
+	} {
+		func() {
+			eng, sw, _, _ := setup(t, testLink())
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: aliased MAC %s was accepted", name, alias)
+				}
+			}()
+			f(sw, eng)
+		}()
+	}
+}
+
 func TestDuplicateAttachPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	sw := NewSwitch(eng, testLink(), sim.NewRNG(1))

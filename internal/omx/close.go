@@ -3,6 +3,8 @@ package omx
 import (
 	"slices"
 	"sort"
+
+	"openmxsim/internal/sim"
 )
 
 // Close tears down the endpoint. Every outstanding timer is cancelled —
@@ -67,9 +69,9 @@ func (e *Endpoint) Close() {
 
 	// Posted receives that can no longer match anything.
 	posted := e.posted
-	e.posted = nil
-	for _, rh := range posted {
-		rh.fail(ErrClosed)
+	e.posted = sim.FIFO[*RecvHandle]{}
+	for posted.Len() > 0 {
+		posted.PopFront().fail(ErrClosed)
 	}
 
 	delete(e.stack.endpoints, e.ID)

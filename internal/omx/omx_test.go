@@ -2,6 +2,7 @@ package omx
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"openmxsim/internal/fabric"
@@ -242,6 +243,85 @@ func TestMatchingIsFIFO(t *testing.T) {
 	r.eng.Run()
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 		t.Fatalf("posted receives completed out of order: %v", order)
+	}
+}
+
+// TestMatchingTakesFirstPostedMatch pins matching order on the posted
+// queue: a tagged message whose receive sits behind non-matching entries
+// removes only that entry, and later deliveries still complete the
+// remaining receives in the order they were posted.
+func TestMatchingTakesFirstPostedMatch(t *testing.T) {
+	r := defaultRig(t)
+	var order []string
+	var afterTagged []uint64
+	post := func(name string, match, mask uint64) {
+		r.b.Irecv(match, mask, nil, 64, func(*RecvHandle) {
+			order = append(order, name)
+			if name == "tag7" {
+				for i := 0; i < r.b.posted.Len(); i++ {
+					afterTagged = append(afterTagged, r.b.posted.At(i).Match)
+				}
+			}
+		})
+	}
+	r.eng.After(0, func() {
+		post("tag1", 1, ^uint64(0))
+		post("tag2", 2, ^uint64(0))
+		post("tag7", 7, ^uint64(0))
+		post("any0", 0x100, 0)
+		post("any1", 0x101, 0)
+		post("any2", 0x102, 0)
+	})
+	r.eng.After(sim.Millisecond, func() {
+		for _, m := range []uint64{7, 5, 5, 5, 1, 2} {
+			r.a.Isend(r.b.Addr(), m, nil, 8, nil)
+		}
+	})
+	r.eng.Run()
+	want := []string{"tag7", "any0", "any1", "any2", "tag1", "tag2"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("completion order %v, want %v", order, want)
+	}
+	if fmt.Sprint(afterTagged) != fmt.Sprint([]uint64{1, 2, 0x100, 0x101, 0x102}) {
+		t.Fatalf("posted queue after the tagged match: %#x", afterTagged)
+	}
+	if n := r.b.posted.Len(); n != 0 {
+		t.Fatalf("%d receives still posted", n)
+	}
+}
+
+// TestUnexpectedMatchesFirstArrived pins matching order on the unexpected
+// queue: each receive takes the earliest-arrived message it matches, even
+// when that message sits behind others.
+func TestUnexpectedMatchesFirstArrived(t *testing.T) {
+	r := defaultRig(t)
+	r.eng.After(0, func() {
+		r.a.Isend(r.b.Addr(), 4, []byte("x"), 0, nil)
+		r.a.Isend(r.b.Addr(), 3, []byte("a"), 0, nil)
+		r.a.Isend(r.b.Addr(), 3, []byte("b"), 0, nil)
+		r.a.Isend(r.b.Addr(), 4, []byte("y"), 0, nil)
+	})
+	var got []string
+	recv := func(match, mask uint64) {
+		buf := make([]byte, 8)
+		r.b.Irecv(match, mask, buf, 0, func(rh *RecvHandle) { got = append(got, string(buf[:rh.Len])) })
+	}
+	// Post the receives well after every message has arrived.
+	r.eng.After(2*sim.Millisecond, func() {
+		recv(3, ^uint64(0)) // skips "x"
+		recv(0, 0)          // wildcard: the oldest left
+		recv(3, ^uint64(0))
+		recv(0, 0)
+	})
+	r.eng.Run()
+	if want := []string{"a", "x", "b", "y"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("unexpected messages matched as %q, want %q", got, want)
+	}
+	if r.stackB.Stats.UnexpectedMsgs != 4 {
+		t.Errorf("UnexpectedMsgs = %d, want 4", r.stackB.Stats.UnexpectedMsgs)
+	}
+	if n := r.b.unexpected.Len(); n != 0 {
+		t.Fatalf("%d unexpected messages left", n)
 	}
 }
 
